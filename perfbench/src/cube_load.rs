@@ -8,7 +8,7 @@
 //! text.
 
 use crate::feed::{bike_feed, Facts};
-use crate::report::{median, micros, quantile, ratio, Delta, HostSpeed, Outcome, Tracer};
+use crate::report::{micros, quantile, ratio, Delta, HostSpeed, Outcome, Scale, Times, Tracer};
 use crate::Args;
 use sc_core::models::{NosqlDwarfModel, SchemaModel};
 use sc_core::MappedDwarf;
@@ -29,18 +29,27 @@ const SAMPLE_EVERY_DOCS: usize = 4;
 pub fn run(args: &Args) -> Outcome {
     let mut out = Outcome::default();
     let mut hs = HostSpeed::new();
+    // Set-up renders the feed (sc-datagen) and opens a fresh store with its
+    // schema (sc-core, sc-nosql, sc-storage): the program's work before the
+    // first load. The oracle's reading of the feed is not timed.
     let mut setups = Vec::new();
-    let mut input = None;
-    for _ in 0..SETUPS {
+    let mut docs = Vec::new();
+    for i in 0..SETUPS {
+        let dir = args.data.join(format!("setup-{i}"));
+        let _ = std::fs::remove_dir_all(&dir);
         hs.sample(3);
         let (at, t) = (hs.now(), Instant::now());
-        let docs = bike_feed(args.seed, DAYS, FACTS);
-        let facts = Facts::read(&docs);
+        let feed = bike_feed(args.seed, DAYS, FACTS);
+        let mut model =
+            NosqlDwarfModel::open(Vfs::disk(&dir).expect("disk vfs")).expect("open store");
+        model.create_schema().expect("create schema");
+        drop(model);
         setups.push((at, t.elapsed().as_secs_f64()));
-        input = Some((docs, facts));
+        docs = feed;
+        let _ = std::fs::remove_dir_all(&dir);
     }
     hs.sample(3);
-    let (docs, facts) = input.expect("at least one set-up");
+    let facts = Facts::read(&docs);
     let expected = facts.string_rows();
 
     let mut tracer = Tracer::new(args.trace);
@@ -57,27 +66,20 @@ pub fn run(args: &Args) -> Outcome {
     }
 
     // Every duration is scaled to the reference host speed at the time it
-    // was measured (see `HostSpeed`).
-    let scale = hs.scale();
-    let mut load_s: Vec<f64> = cycles
-        .iter()
-        .map(|c| scale.span(c.start, c.stored))
-        .collect();
-    let mut restart_s: Vec<f64> = cycles
-        .iter()
-        .map(|c| scale.span(c.restart.0, c.restart.1))
-        .collect();
-    let mut rebuild_s: Vec<f64> = cycles
-        .iter()
-        .map(|c| scale.span(c.rebuild.0, c.rebuild.1))
-        .collect();
-    let mut doc_latency_us: Vec<f64> = cycles
-        .iter()
-        .flat_map(|c| c.ingest_us.iter().map(|&(at, us)| scale.at(at, us)))
-        .collect();
-    doc_latency_us.sort_by(f64::total_cmp);
+    // was measured (see `HostSpeed`); `raw` holds the figures unscaled.
     let n = cycles.len() as f64;
-    let per_s = facts.feed_facts as f64 / median(&mut load_s);
+    let times = |scale: &Scale| -> (Times, f64) {
+        let load_s = scale.median_span(cycles.iter().map(|c| (c.start, c.stored)));
+        let times = Times {
+            setup_s: scale.median_span(setups.iter().copied()),
+            per_s: facts.feed_facts as f64 / load_s,
+            latency_us: scale.sorted(cycles.iter().flat_map(|c| c.ingest_us.iter().copied())),
+            restart_s: scale.median_span(cycles.iter().map(|c| c.restart)),
+        };
+        (times, scale.median_span(cycles.iter().map(|c| c.rebuild)))
+    };
+    let scale = hs.scale();
+    let ((t, rebuild_s), (raw, _)) = (times(&scale), times(&Scale::none()));
     let bytes_per_fact = layers.stored_bytes / n / facts.feed_facts as f64;
     println!(
         "cube_load: {n} cycles of {} documents, {} feed facts -> {} aggregated facts, \
@@ -87,26 +89,26 @@ pub fn run(args: &Args) -> Outcome {
         facts.rows.len(),
         scale.whole
     );
-    println!("  load_facts_per_s = {per_s:.1} facts/s");
+    println!("  load_facts_per_s = {:.1} facts/s", t.per_s);
     println!("  stored_bytes_per_fact = {bytes_per_fact:.3} B/fact");
     println!(
         "  ingest_p50_us = {:.1} us, ingest_p99_us = {:.1} us per document",
-        quantile(&doc_latency_us, 0.5),
-        quantile(&doc_latency_us, 0.99)
+        quantile(&t.latency_us, 0.5),
+        quantile(&t.latency_us, 0.99)
     );
-    println!("  restart_s = {:.6} s", median(&mut restart_s));
-    println!("  rebuild_s = {:.6} s", median(&mut rebuild_s));
+    println!("  restart_s = {:.6} s", t.restart_s);
+    println!("  rebuild_s = {rebuild_s:.6} s");
     if args.trace {
         tracer.summary();
         let per = |v: f64| v / n;
         let secs = |span: &str| tracer.total(span).1.as_secs_f64() * scale.whole / n;
-        out.metric("trace.p50_us", quantile(&doc_latency_us, 0.50), "us");
+        out.metric("trace.p50_us", quantile(&t.latency_us, 0.50), "us");
         out.metric("ingest.extract_s", secs("ingest"), "s");
         out.metric("dwarf.build_s", secs("build_cube"), "s");
         out.metric("dwarf.cells", per(layers.cells), "count");
         out.metric("core.map_s", secs("map"), "s");
         out.metric("core.store_s", secs("store"), "s");
-        out.metric("core.rebuild_s", median(&mut rebuild_s), "s");
+        out.metric("core.rebuild_s", rebuild_s, "s");
         out.metric(
             "nosql.wal_bytes_per_fact",
             per(layers.wal_bytes) / facts.feed_facts as f64,
@@ -141,13 +143,7 @@ pub fn run(args: &Args) -> Outcome {
             "B",
         );
     } else {
-        let mut setup_s: Vec<f64> = setups.iter().map(|&(at, s)| scale.span(at, s)).collect();
-        out.metric("setup_s", median(&mut setup_s), "s");
-        out.metric("throughput_per_s", per_s, "1/s");
-        out.metric("p50_us", quantile(&doc_latency_us, 0.50), "us");
-        out.metric("p90_us", quantile(&doc_latency_us, 0.90), "us");
-        out.metric("restart_s", median(&mut restart_s), "s");
-        out.metric("stored_bytes_per_fact", bytes_per_fact, "B/fact");
+        out.end_to_end(&t, &raw, bytes_per_fact);
     }
     out
 }

@@ -7,7 +7,9 @@
 //! with a scan over the facts the oracle read from the feed text.
 
 use crate::feed::{bike_feed, Facts, Pick, Rng, AREA, DIMS, HOUR};
-use crate::report::{median, micros, quantile, ratio, Delta, HostSpeed, Outcome, Tracer};
+use crate::report::{
+    median, micros, quantile, ratio, Delta, HostSpeed, Outcome, Scale, Times, Tracer,
+};
 use crate::Args;
 use sc_core::models::{NosqlDwarfModel, SchemaModel};
 use sc_core::{MappedDwarf, StoreBackedCube};
@@ -216,11 +218,11 @@ pub fn run(args: &Args) -> Outcome {
         hs.sample(3);
         let (at, t) = (hs.now(), Instant::now());
         let docs = bike_feed(args.seed, DAYS, FACTS);
-        let facts = Facts::read(&docs);
-        hs.sample(3);
         let mut stored = store_feed(&docs, &dir, &mut hs);
         StoreBackedCube::open(&mut stored.model, stored.schema_id).expect("open session");
         setups.push((at, t.elapsed().as_secs_f64()));
+        // The oracle reads the feed outside the timed set-up.
+        let facts = Facts::read(&docs);
         restarts.extend(&stored.restarts);
         bytes.push(stored.bytes as f64 / facts.feed_facts as f64);
         if let Some((old_dir, ..)) = kept.replace((dir, facts, stored)) {
@@ -240,7 +242,8 @@ pub fn run(args: &Args) -> Outcome {
         let mut gen = queries(args.seed, &facts, usize::MAX);
         for _ in 0..WARMUP_ROUNDS * ROUND.len() {
             let q = gen.next().expect("endless queries");
-            ask(&mut session, &q, &mut out, facts.total);
+            let got = ask(&mut session, &q);
+            check(&mut out, &q, got, facts.total);
         }
         session.reset_stats();
         let before = Delta::start();
@@ -251,9 +254,14 @@ pub fn run(args: &Args) -> Outcome {
             let mut busy = 0.0;
             for _ in 0..ROUND.len() {
                 let q = gen.next().expect("endless queries");
+                // The span's own cost is inside the timed interval, so the
+                // traced run's latency shows the tracing overhead.
+                let t = Instant::now();
                 let span = tracer.begin(q.span());
-                let us = ask(&mut session, &q, &mut out, facts.total);
+                let got = ask(&mut session, &q);
                 tracer.end(span);
+                let us = micros(t.elapsed());
+                check(&mut out, &q, got, facts.total);
                 queries_us.push((at, us));
                 busy += us;
             }
@@ -275,17 +283,21 @@ pub fn run(args: &Args) -> Outcome {
     };
 
     // Every duration is scaled to the reference host speed at the time it
-    // was measured (see `HostSpeed`).
-    let scale = hs.scale();
+    // was measured (see `HostSpeed`); `raw` holds the figures unscaled.
     let n = queries_us.len() as f64;
     let busy_us: f64 = queries_us.iter().map(|q| q.1).sum();
-    let mut latency_us: Vec<f64> = queries_us
-        .iter()
-        .map(|&(at, us)| scale.at(at, us))
-        .collect();
-    latency_us.sort_by(f64::total_cmp);
-    let mut round_us: Vec<f64> = rounds_us.iter().map(|&(at, us)| scale.at(at, us)).collect();
-    let per_s = ROUND.len() as f64 / median(&mut round_us) * 1e6;
+    let times = |scale: &Scale| {
+        let round_us = scale.sorted(rounds_us.iter().copied());
+        Times {
+            setup_s: scale.median_span(setups.iter().copied()),
+            per_s: ROUND.len() as f64 / quantile(&round_us, 0.5) * 1e6,
+            latency_us: scale.sorted(queries_us.iter().copied()),
+            restart_s: scale.median_span(restarts.iter().copied()),
+        }
+    };
+    let scale = hs.scale();
+    let (t, raw) = (times(&scale), times(&Scale::none()));
+    let latency_us = &t.latency_us;
     println!(
         "cube_query: {} timed rounds ({n} queries) after {WARMUP_ROUNDS} warm-up rounds; \
          {} aggregated facts, store {} B, host-speed factor {:.3}",
@@ -294,12 +306,12 @@ pub fn run(args: &Args) -> Outcome {
         stored.bytes,
         scale.whole
     );
-    println!("  olap_p50_us = {:.1} us", quantile(&latency_us, 0.50));
-    println!("  olap_p99_us = {:.1} us", quantile(&latency_us, 0.99));
-    println!("  olap_queries_per_s = {per_s:.1} queries/s");
+    println!("  olap_p50_us = {:.1} us", quantile(latency_us, 0.50));
+    println!("  olap_p99_us = {:.1} us", quantile(latency_us, 0.99));
+    println!("  olap_queries_per_s = {:.1} queries/s", t.per_s);
     if args.trace {
         tracer.summary();
-        out.metric("trace.p50_us", quantile(&latency_us, 0.50), "us");
+        out.metric("trace.p50_us", quantile(latency_us, 0.50), "us");
         out.metric("dwarf.cells", stored.cells as f64, "count");
         out.metric("core.node_cache_hit_ratio", stats.hit_ratio(), "ratio");
         out.metric(
@@ -351,31 +363,20 @@ pub fn run(args: &Args) -> Outcome {
             "B",
         );
     } else {
-        let mut setup_s: Vec<f64> = setups.iter().map(|&(at, s)| scale.span(at, s)).collect();
-        let mut restart_s: Vec<f64> = restarts.iter().map(|&(at, s)| scale.span(at, s)).collect();
-        out.metric("setup_s", median(&mut setup_s), "s");
-        out.metric("throughput_per_s", per_s, "1/s");
-        out.metric("p50_us", quantile(&latency_us, 0.50), "us");
-        out.metric("p90_us", quantile(&latency_us, 0.90), "us");
-        out.metric("restart_s", median(&mut restart_s), "s");
-        out.metric("stored_bytes_per_fact", median(&mut bytes), "B/fact");
+        out.end_to_end(&t, &raw, median(&mut bytes));
     }
     drop(stored);
     let _ = std::fs::remove_dir_all(&dir);
     out
 }
 
-/// Runs one query through the session, checks it, and returns its latency.
-fn ask(session: &mut StoreBackedCube<'_>, q: &Query, out: &mut Outcome, total: i64) -> f64 {
-    let t = Instant::now();
-    let got = match q {
+/// Runs one query through the session.
+fn ask(session: &mut StoreBackedCube<'_>, q: &Query) -> Answer<sc_core::CoreError> {
+    match q {
         Query::Point(sel, _) => Answer::Value(session.point(sel)),
         Query::Range(sel, _) => Answer::Value(session.range(sel)),
         Query::GroupBy(dims, _) => Answer::Groups(session.group_by(dims)),
-    };
-    let us = micros(t.elapsed());
-    check(out, q, got, total);
-    us
+    }
 }
 
 /// Replays the session's statements — the pk-Eq node read and the pk-IN

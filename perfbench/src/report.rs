@@ -10,19 +10,41 @@ use std::time::{Duration, Instant};
 pub struct Outcome {
     pub attempted: u64,
     pub failed: u64,
-    metrics: Vec<(String, f64, &'static str)>,
+    /// `(name, value, unit, unscaled value of a time)`.
+    metrics: Vec<(String, f64, &'static str, Option<f64>)>,
 }
 
 impl Outcome {
     pub fn metric(&mut self, name: &str, value: f64, unit: &'static str) {
-        self.metrics.push((name.to_string(), value, unit));
+        self.metrics.push((name.to_string(), value, unit, None));
+    }
+
+    /// A time scaled to the reference host speed; `unscaled` is the same
+    /// figure as measured, printed next to it (see [`HostSpeed`]).
+    fn time(&mut self, name: &str, value: f64, unscaled: f64, unit: &'static str) {
+        self.metrics
+            .push((name.to_string(), value, unit, Some(unscaled)));
     }
 
     /// Adds `name` as 0 unless the workload measured it.
     pub fn default_metric(&mut self, name: &str, unit: &'static str) {
-        if !self.metrics.iter().any(|(n, _, _)| n == name) {
+        if !self.metrics.iter().any(|m| m.0 == name) {
             self.metric(name, 0.0, unit);
         }
+    }
+
+    /// Records the end-to-end metrics every workload reports: its times
+    /// scaled to the reference host speed, each next to its unscaled value.
+    pub fn end_to_end(&mut self, scaled: &Times, unscaled: &Times, stored_bytes_per_fact: f64) {
+        let (t, u) = (scaled, unscaled);
+        self.time("setup_s", t.setup_s, u.setup_s, "s");
+        self.time("throughput_per_s", t.per_s, u.per_s, "1/s");
+        for (name, q) in [("p50_us", 0.50), ("p90_us", 0.90)] {
+            let (tq, uq) = (quantile(&t.latency_us, q), quantile(&u.latency_us, q));
+            self.time(name, tq, uq, "us");
+        }
+        self.time("restart_s", t.restart_s, u.restart_s, "s");
+        self.metric("stored_bytes_per_fact", stored_bytes_per_fact, "B/fact");
     }
 
     /// Orders the metrics as `names`, dropping any other.
@@ -35,7 +57,7 @@ impl Outcome {
             let i = self
                 .metrics
                 .iter()
-                .position(|(n, _, _)| n == name)
+                .position(|m| m.0 == *name)
                 .unwrap_or_else(|| panic!("workload did not measure {name}"));
             kept.push(self.metrics.swap_remove(i));
         }
@@ -56,13 +78,16 @@ impl Outcome {
 
     /// Prints one line per metric, then the result object as the last line.
     pub fn print(&self) {
-        for (name, value, unit) in &self.metrics {
-            println!("  {name:<40} {value:>16.4} {unit}");
+        for (name, value, unit, unscaled) in &self.metrics {
+            match unscaled {
+                Some(raw) => println!("  {name:<40} {value:>16.4} {unit:<6} (unscaled {raw:.4})"),
+                None => println!("  {name:<40} {value:>16.4} {unit}"),
+            }
         }
         let metrics: Vec<String> = self
             .metrics
             .iter()
-            .map(|(name, value, unit)| {
+            .map(|(name, value, unit, _)| {
                 let value = if value.is_finite() { *value } else { 0.0 };
                 format!("\"{name}\": {{\"value\": {value}, \"unit\": \"{unit}\"}}")
             })
@@ -75,6 +100,19 @@ impl Outcome {
             metrics.join(", ")
         );
     }
+}
+
+/// The timed end-to-end figures of a run under one [`Scale`].
+#[derive(Debug)]
+pub struct Times {
+    /// Median set-up time.
+    pub setup_s: f64,
+    /// Operations per second.
+    pub per_s: f64,
+    /// Every operation's latency, ascending.
+    pub latency_us: Vec<f64>,
+    /// Median reopen time.
+    pub restart_s: f64,
 }
 
 /// Nearest-rank quantile of an ascending slice (0 when empty).
@@ -272,26 +310,52 @@ impl Delta {
 
 /// What the reference kernel takes on a quiet build host, in microseconds:
 /// the speed every time metric is scaled to.
-pub const REFERENCE_US: f64 = 150.0;
+pub const REFERENCE_US: f64 = 77.0;
 /// Length of a host-speed window, in seconds.
 const WINDOW_S: f64 = 0.25;
 
 /// A fixed CPU and memory kernel written in the benchmark's own code
-/// (sort, hash-map updates, integer formatting), so no change to the
-/// program can change its cost.
-fn reference_kernel() -> Duration {
-    use std::collections::HashMap;
-    let t = Instant::now();
-    let mut rng = crate::feed::Rng::new(7);
-    let mut v: Vec<u64> = (0..4096).map(|_| rng.next_u64()).collect();
-    v.sort_unstable();
-    let mut m: HashMap<u64, u64> = HashMap::with_capacity(1024);
-    for x in &v {
-        *m.entry(x % 1024).or_insert(0) += x & 7;
+/// (sort, table updates, integer formatting), so no change to the program
+/// can change its cost. It works in buffers allocated once, so it neither
+/// allocates nor frees: a program change that fragments the heap does not
+/// slow it.
+#[derive(Debug)]
+struct Kernel {
+    values: Vec<u64>,
+    table: Vec<u64>,
+}
+
+impl Kernel {
+    fn new() -> Kernel {
+        Kernel {
+            values: vec![0; 4096],
+            table: vec![0; 1024],
+        }
     }
-    let s: Vec<String> = v[..256].iter().map(|x| x.to_string()).collect();
-    std::hint::black_box((&m, &s));
-    t.elapsed()
+
+    fn run(&mut self) -> Duration {
+        use std::io::Write;
+        let t = Instant::now();
+        let mut rng = crate::feed::Rng::new(7);
+        for v in &mut self.values {
+            *v = rng.next_u64();
+        }
+        self.values.sort_unstable();
+        self.table.fill(0);
+        for x in &self.values {
+            let slot = (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 54) as usize;
+            self.table[slot] = self.table[slot].wrapping_add(x & 7);
+        }
+        let mut text = [0u8; 24];
+        let mut digits = 0;
+        for x in &self.values[..256] {
+            let mut w = &mut text[..];
+            write!(w, "{x}").expect("a u64 fits in 24 bytes");
+            digits += 24 - w.len();
+        }
+        std::hint::black_box((&self.table, digits));
+        t.elapsed()
+    }
 }
 
 /// The host's speed through a run. The build host is a shared VM whose
@@ -300,9 +364,16 @@ fn reference_kernel() -> Duration {
 /// reference kernel over the samples taken within the same quarter second
 /// of the run. The workloads interleave [`HostSpeed::sample`] calls with their
 /// operations.
+///
+/// The kernel shares the CPUs, the caches and the memory bus with the
+/// program's own threads, so a program change that slows the whole host
+/// (more background CPU work, more cache pressure) also slows the kernel
+/// and is partly divided out of the scaled figures. Every scaled
+/// end-to-end figure is therefore printed next to its unscaled value.
 #[derive(Debug)]
 pub struct HostSpeed {
     epoch: Instant,
+    kernel: Kernel,
     /// `(seconds into the run, kernel time in us)`.
     samples: Vec<(f64, f64)>,
 }
@@ -311,7 +382,8 @@ impl HostSpeed {
     pub fn new() -> HostSpeed {
         HostSpeed {
             epoch: Instant::now(),
-            samples: Vec::new(),
+            kernel: Kernel::new(),
+            samples: Vec::with_capacity(1 << 16),
         }
     }
 
@@ -329,7 +401,7 @@ impl HostSpeed {
     pub fn sample(&mut self, n: usize) {
         for _ in 0..n {
             let at = self.now();
-            let us = micros(reference_kernel());
+            let us = micros(self.kernel.run());
             self.samples.push((at, us));
         }
     }
@@ -392,9 +464,31 @@ pub struct Scale {
 }
 
 impl Scale {
+    /// The identity: figures "scaled" by it are the unscaled figures.
+    pub fn none() -> Scale {
+        Scale {
+            factors: vec![1.0],
+            whole: 1.0,
+        }
+    }
+
     /// Scales a short duration measured at `at` seconds into the run.
     pub fn at(&self, at: f64, value: f64) -> f64 {
         value * self.factors[window(at).min(self.factors.len() - 1)]
+    }
+
+    /// Scales every `(at, us)` short duration; returns them ascending.
+    pub fn sorted(&self, durations: impl Iterator<Item = (f64, f64)>) -> Vec<f64> {
+        let mut v: Vec<f64> = durations.map(|(at, us)| self.at(at, us)).collect();
+        v.sort_by(f64::total_cmp);
+        v
+    }
+
+    /// The median of every `(at, seconds)` duration, each scaled by
+    /// [`Scale::span`].
+    pub fn median_span(&self, spans: impl Iterator<Item = (f64, f64)>) -> f64 {
+        let mut v: Vec<f64> = spans.map(|(at, s)| self.span(at, s)).collect();
+        median(&mut v)
     }
 
     /// Scales a duration of `seconds` that started at `at`, by the mean

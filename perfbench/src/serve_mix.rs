@@ -10,7 +10,9 @@
 //! preloaded ids.
 
 use crate::feed::Rng;
-use crate::report::{median, micros, quantile, ratio, Delta, HostSpeed, Outcome, Tracer};
+use crate::report::{
+    median, micros, quantile, ratio, Delta, HostSpeed, Outcome, Scale, Times, Tracer,
+};
 use crate::Args;
 use sc_nosql::{CqlValue, OpenOptions, QueryResult, QueryRow, SharedDb};
 use sc_server::{Client, Server, ServerConfig};
@@ -418,11 +420,13 @@ pub fn run(args: &Args) -> Outcome {
             let mut busy = 0.0;
             for read in ROUND {
                 let (cql, arg) = mix.cql(read, "city");
-                let span = tracer.begin(read.span());
+                // The span's own cost is inside the timed interval, so the
+                // traced run's latency shows the tracing overhead.
                 let t = Instant::now();
+                let span = tracer.begin(read.span());
                 let got = reader.query(&cql);
-                let us = micros(t.elapsed());
                 tracer.end(span);
+                let us = micros(t.elapsed());
                 check_read(
                     &mut out,
                     seed,
@@ -455,30 +459,28 @@ pub fn run(args: &Args) -> Outcome {
     };
 
     // Every duration is scaled to the reference host speed at the time it
-    // was measured (see `HostSpeed`).
-    let scale = hs.scale();
+    // was measured (see `HostSpeed`); `raw` holds the figures unscaled.
     let n = reads_us.len() as f64;
-    let mut latency_us: Vec<f64> = reads_us
-        .iter()
-        .map(|&(at, us, _)| scale.at(at, us))
-        .collect();
-    latency_us.sort_by(f64::total_cmp);
-    let kind_us = |kind: Read| {
-        let mut v: Vec<f64> = reads_us
-            .iter()
-            .filter(|r| r.2 == kind)
-            .map(|&(at, us, _)| scale.at(at, us))
-            .collect();
-        v.sort_by(f64::total_cmp);
-        v
+    let times = |scale: &Scale| {
+        let round_us = scale.sorted(rounds_us.iter().copied());
+        Times {
+            setup_s: scale.median_span(setups.iter().copied()),
+            per_s: ROUND.len() as f64 / quantile(&round_us, 0.5) * 1e6,
+            latency_us: scale.sorted(reads_us.iter().map(|&(at, us, _)| (at, us))),
+            restart_s: scale.median_span(restarts.iter().copied()),
+        }
     };
-    let mut round_us: Vec<f64> = rounds_us.iter().map(|&(at, us)| scale.at(at, us)).collect();
-    let per_s = ROUND.len() as f64 / median(&mut round_us) * 1e6;
-    let mut insert_us: Vec<f64> = writes
-        .latency
-        .iter()
-        .map(|&(at, us)| scale.at(at, us))
-        .collect();
+    let scale = hs.scale();
+    let (t, raw) = (times(&scale), times(&Scale::none()));
+    let kind_us = |kind: Read| {
+        scale.sorted(
+            reads_us
+                .iter()
+                .filter(|r| r.2 == kind)
+                .map(|&(at, us, _)| (at, us)),
+        )
+    };
+    let insert_us = scale.sorted(writes.latency.iter().copied());
     println!(
         "serve_mix: {} rounds ({n} reads), {} inserts at one per {:?}, host-speed factor {:.3}",
         rounds_us.len(),
@@ -486,7 +488,7 @@ pub fn run(args: &Args) -> Outcome {
         INSERT_EVERY,
         scale.whole
     );
-    println!("  serve_reads_per_s = {per_s:.1} reads/s");
+    println!("  serve_reads_per_s = {:.1} reads/s", t.per_s);
     for kind in Read::ALL {
         let v = kind_us(kind);
         println!("  {}_p50_us = {:.1} us", kind.name(), quantile(&v, 0.5));
@@ -496,14 +498,14 @@ pub fn run(args: &Args) -> Outcome {
     }
     println!(
         "  insert_p50_us = {:.1} us (from due time)",
-        median(&mut insert_us)
+        quantile(&insert_us, 0.5)
     );
     if args.trace {
         tracer.summary();
         let mut late_us = writes.late_us;
         late_us.sort_by(f64::total_cmp);
         let inserts = writes.latency.len() as f64;
-        out.metric("trace.p50_us", quantile(&latency_us, 0.50), "us");
+        out.metric("trace.p50_us", quantile(&t.latency_us, 0.50), "us");
         for (name, us) in layer_us {
             out.metric(&name, us * scale.whole, "us");
         }
@@ -582,14 +584,7 @@ pub fn run(args: &Args) -> Outcome {
             "B",
         );
     } else {
-        let mut setup_s: Vec<f64> = setups.iter().map(|&(at, s)| scale.span(at, s)).collect();
-        let mut restart_s: Vec<f64> = restarts.iter().map(|&(at, s)| scale.span(at, s)).collect();
-        out.metric("setup_s", median(&mut setup_s), "s");
-        out.metric("throughput_per_s", per_s, "1/s");
-        out.metric("p50_us", quantile(&latency_us, 0.50), "us");
-        out.metric("p90_us", quantile(&latency_us, 0.90), "us");
-        out.metric("restart_s", median(&mut restart_s), "s");
-        out.metric("stored_bytes_per_fact", median(&mut bytes), "B/fact");
+        out.end_to_end(&t, &raw, median(&mut bytes));
     }
     drop(reader);
     served.server.shutdown();

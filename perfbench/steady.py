@@ -3,19 +3,19 @@
 
 Run from the repository root:
 
-    python3 perfbench/steady.py [--runs 10] [--sets 2] [--seconds S]
-        [--workloads cube_load,cube_query,serve_mix] [--traced]
+    python3 perfbench/steady.py [--traced]
 
-Each set runs every workload `--runs` times with distinct seeds (set k
-uses seeds k*100+1 .. k*100+runs). Per workload and end-to-end metric it
-prints the median, the quartiles (`statistics.quantiles(n=4)`) and the
-spread (Q3 - Q1) / median, and flags a spread above a third of the metric's
-bound in BENCHMARK.json (above the bound itself for setup_s, which is
-reported, not gated). With two or more sets it also flags a later set whose
-median is worse than the first set's by more than the bound, and a differing
-share of failed operations. `--traced` adds one traced run per seed and
-prints the tracing overhead: how far the traced runs' `trace.p50_us` median
-sits above the untraced `p50_us` median. Exits 1 when anything is flagged.
+Runs every workload of BENCHMARK.json in two sets of ten runs of
+`run_seconds` each, with distinct seeds (set k uses seeds k*100+1 ..
+k*100+10). Per workload and end-to-end metric it prints the median, the
+quartiles (`statistics.quantiles(n=4)`) and the spread (Q3 - Q1) / median,
+and flags a spread above a third of the metric's bound in BENCHMARK.json
+(above the bound itself for setup_s, whose spread is reported, not gated).
+It also flags a metric whose set-2 median differs from set 1's, in either
+direction, by more than the bound, and a differing share of failed
+operations. `--traced` adds one traced run per seed of set 1 and prints the
+tracing overhead: how far the traced runs' `trace.p50_us` median sits above
+the untraced `p50_us` median. Exits 1 when anything is flagged.
 """
 
 import argparse
@@ -26,6 +26,8 @@ import sys
 from pathlib import Path
 
 SPEC = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+RUNS = 10
+SETS = 2
 
 
 def run(workload, seed, seconds, trace):
@@ -45,27 +47,18 @@ def spread(values):
     return q1, statistics.median(values), q3, (q3 - q1) / statistics.median(values)
 
 
-def worse(metric, first, later):
-    """How much worse `later` is than `first`, as a share of `first`."""
-    change = (later - first) / first
-    return change if metric["better"] == "lower" else -change
-
-
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2)
-    ap.add_argument("--seconds", type=int, default=SPEC["run_seconds"])
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in SPEC["workloads"]))
     ap.add_argument("--traced", action="store_true")
     args = ap.parse_args()
+    seconds = SPEC["run_seconds"]
     flagged = []
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in SPEC["workloads"]):
         sets = []
-        for k in range(args.sets):
-            runs = [run(workload, k * 100 + i + 1, args.seconds, 0) for i in range(args.runs)]
+        for k in range(SETS):
+            runs = [run(workload, k * 100 + i + 1, seconds, 0) for i in range(RUNS)]
             sets.append(runs)
-        print(f"== {workload}: {args.sets} set(s) of {args.runs} runs, {args.seconds}s each")
+        print(f"== {workload}: {SETS} sets of {RUNS} runs, {seconds}s each")
         medians = []
         for k, runs in enumerate(sets):
             shares = {r["failed"] / r["attempted"] for r in runs}
@@ -84,18 +77,17 @@ def main():
                     flagged.append(f"{workload} set {k + 1} {m['name']}: spread {s:.4f}")
                 row[m["name"]] = med
             medians.append(row)
-        for k in range(1, len(sets)):
-            shares = [{r["failed"] / r["attempted"] for r in runs} for runs in (sets[0], sets[k])]
-            if shares[0] != shares[1]:
-                flagged.append(f"{workload}: failed share differs between sets 1 and {k + 1}")
-            for m in SPEC["end_to_end"]:
-                w = worse(m, medians[0][m["name"]], medians[k][m["name"]])
-                mark = "" if w <= m["bound"] else "  <-- worse than the bound"
-                print(f"    set {k + 1} vs 1: {m['name']:<24} {w * 100:+7.2f}% worse{mark}")
-                if mark:
-                    flagged.append(f"{workload} set {k + 1} {m['name']}: {w * 100:+.2f}% worse")
+        shares = [{r["failed"] / r["attempted"] for r in runs} for runs in sets]
+        if shares[0] != shares[1]:
+            flagged.append(f"{workload}: failed share differs between the sets")
+        for m in SPEC["end_to_end"]:
+            change = (medians[1][m["name"]] - medians[0][m["name"]]) / medians[0][m["name"]]
+            mark = "" if abs(change) <= m["bound"] else "  <-- differs by more than the bound"
+            print(f"    set 2 vs 1: {m['name']:<24} {change * 100:+7.2f}%{mark}")
+            if mark:
+                flagged.append(f"{workload} {m['name']}: set 2 median {change * 100:+.2f}%")
         if args.traced:
-            traced = [run(workload, i + 1, args.seconds, 1) for i in range(args.runs)]
+            traced = [run(workload, i + 1, seconds, 1) for i in range(RUNS)]
             t = statistics.median(r["metrics"]["trace.p50_us"]["value"] for r in traced)
             u = statistics.median(r["metrics"]["p50_us"]["value"] for r in sets[0])
             print(f"    tracing overhead: traced p50 {t:.1f} us vs untraced {u:.1f} us "

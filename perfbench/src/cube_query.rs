@@ -32,7 +32,7 @@ const DAYS: i64 = 7;
 const FACTS: usize = 60_102;
 const SETUPS: usize = 3;
 /// Reopens per set-up; `restart_s` is their median.
-const REOPENS: usize = 3;
+const REOPENS: usize = 5;
 /// One round, in order: six point queries, one range, one group-by.
 const ROUND: [Kind; 8] = [
     Kind::Point,

@@ -407,17 +407,16 @@ pub fn run(args: &Args) -> Outcome {
     let mut mix = Mix {
         rng: Rng::new(seed ^ 0x5E2E_0001),
     };
-    // `(at, us, kind)` per read, `(at, us)` per round.
-    let (mut reads_us, mut rounds_us) = (Vec::new(), Vec::new());
+    // `(at, us, kind)` per read.
+    let (mut reads_us, mut rounds) = (Vec::new(), 0);
     let before = Delta::start();
     let deadline = Instant::now() + Duration::from_secs(args.seconds);
     let epoch = hs.epoch();
     let writes = std::thread::scope(|scope| {
         let w = scope.spawn(|| writer(writer_client, seed, epoch, deadline));
-        while rounds_us.is_empty() || Instant::now() < deadline {
+        while rounds == 0 || Instant::now() < deadline {
             hs.sample(2);
             let at = hs.now();
-            let mut busy = 0.0;
             for read in ROUND {
                 let (cql, arg) = mix.cql(read, "city");
                 // The span's own cost is inside the timed interval, so the
@@ -436,9 +435,8 @@ pub fn run(args: &Args) -> Outcome {
                     &totals,
                 );
                 reads_us.push((at, us, read));
-                busy += us;
             }
-            rounds_us.push((at, busy));
+            rounds += 1;
         }
         w.join().expect("writer thread")
     });
@@ -461,18 +459,7 @@ pub fn run(args: &Args) -> Outcome {
     // Every duration is scaled to the reference host speed at the time it
     // was measured (see `HostSpeed`); `raw` holds the figures unscaled.
     let n = reads_us.len() as f64;
-    let times = |scale: &Scale| {
-        let round_us = scale.sorted(rounds_us.iter().copied());
-        Times {
-            setup_s: scale.median_span(setups.iter().copied()),
-            per_s: ROUND.len() as f64 / quantile(&round_us, 0.5) * 1e6,
-            latency_us: scale.sorted(reads_us.iter().map(|&(at, us, _)| (at, us))),
-            restart_s: scale.median_span(restarts.iter().copied()),
-        }
-    };
-    let scale = hs.scale();
-    let (t, raw) = (times(&scale), times(&Scale::none()));
-    let kind_us = |kind: Read| {
+    let kind_us = |scale: &Scale, kind: Read| {
         scale.sorted(
             reads_us
                 .iter()
@@ -480,17 +467,34 @@ pub fn run(args: &Args) -> Outcome {
                 .map(|&(at, us, _)| (at, us)),
         )
     };
+    let times = |scale: &Scale| {
+        // A round at every kind's median latency: a rare stall, a few
+        // percent of the point reads, must not decide whether the median
+        // round holds one more scan-length wait.
+        let round_us: f64 = ROUND
+            .iter()
+            .map(|&read| quantile(&kind_us(scale, read), 0.5))
+            .sum();
+        Times {
+            setup_s: scale.median_span(setups.iter().copied()),
+            per_s: ROUND.len() as f64 / round_us * 1e6,
+            latency_us: scale.sorted(reads_us.iter().map(|&(at, us, _)| (at, us))),
+            restart_s: scale.median_span(restarts.iter().copied()),
+        }
+    };
+    let scale = hs.scale();
+    let (t, raw) = (times(&scale), times(&Scale::none()));
     let insert_us = scale.sorted(writes.latency.iter().copied());
     println!(
         "serve_mix: {} rounds ({n} reads), {} inserts at one per {:?}, host-speed factor {:.3}",
-        rounds_us.len(),
+        rounds,
         writes.latency.len(),
         INSERT_EVERY,
         scale.whole
     );
     println!("  serve_reads_per_s = {:.1} reads/s", t.per_s);
     for kind in Read::ALL {
-        let v = kind_us(kind);
+        let v = kind_us(&scale, kind);
         println!("  {}_p50_us = {:.1} us", kind.name(), quantile(&v, 0.5));
         if kind == Read::Point {
             println!("  point_p99_us = {:.1} us", quantile(&v, 0.99));
